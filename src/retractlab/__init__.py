@@ -8,7 +8,6 @@ from .poly_core import (  # noqa: E402,F401
     MINUS_INF,
     Monomial,
     Poly2,
-    Rat,
     UniPoly,
     monomial_degree_under,
     substitute1,

@@ -37,10 +37,8 @@ from .retracts import (
     verify_retract_generator,
 )
 from .theorem_lab import (
-    Reduced,
     coordinate_image_experiment,
     normalize,
-    reduction_step,
     run_reduction,
     witness_coordinate,
     witness_exponent,
@@ -241,28 +239,13 @@ def _cmd_witness(args):
     return obj, 0
 
 
-def _trace_moves(e: Endo, max_steps: int) -> list:
-    trace = []
-    cur = e
-    while len(trace) < max_steps:
-        if cur.is_identity() or cur.f.is_constant() or cur.g.is_constant():
-            break
-        step = reduction_step(cur)
-        if not isinstance(step, Reduced):
-            break
-        log.debug("step %d: %s", len(trace), move_to_obj(step.move))
-        trace.append(move_to_obj(step.move))
-        cur = step.psi
-    return trace
-
-
 def _cmd_reduce(args):
     e = Endo(parse_poly2(args.f), parse_poly2(args.g))
     outcome = run_reduction(e, max_steps=args.max_steps)
     obj = {
         "kind": outcome.kind,
         "steps": outcome.steps,
-        "trace": _trace_moves(e, args.max_steps),
+        "trace": [move_to_obj(m) for m in outcome.moves],
     }
     if outcome.kind == "automorphism":
         obj["trail"] = outcome.trail.to_obj()

@@ -284,10 +284,10 @@ def is_automorphism(e: Endo) -> AutoDecision:
             raise InternalCheckError("degree failed to decrease")
         if df <= 1 and dg <= 1:
             break
-        if df >= dg:
-            big, small, d_big, d_small = cur.f, cur.g, df, dg
-        else:
-            big, small, d_big, d_small = cur.g, cur.f, dg, df
+        # index of the component to lower (f by ElemX, g by ElemY)
+        low, keep = (0, 1) if df >= dg else (1, 0)
+        comps, degs = [cur.f, cur.g], (df, dg)
+        big, small, d_big, d_small = comps[low], comps[keep], degs[low], degs[keep]
         if d_small == 0:
             raise InternalCheckError(
                 "constant component despite constant nonzero jacobian"
@@ -309,15 +309,11 @@ def is_automorphism(e: Endo) -> AutoDecision:
                 tuple(trace),
             )
         log.debug("reduce: deg %s -> subtract %s * small^%s", d_big, c, k)
-        reduced = big - c * small**k
-        if not (reduced.deg() < d_big):
+        comps[low] = big - c * small**k
+        if not (comps[low].deg() < d_big):
             raise InternalCheckError("leading forms failed to cancel")
-        if df >= dg:
-            cur = Endo(reduced, cur.g)
-            undo.append(ElemX(UniPoly.from_terms({k: c})))
-        else:
-            cur = Endo(cur.f, reduced)
-            undo.append(ElemY(UniPoly.from_terms({k: c})))
+        cur = Endo(*comps)
+        undo.append((ElemX, ElemY)[low](UniPoly.from_terms({k: c})))
     # cur is affine: read off the final move
     m = (
         (cur.f.coefficient(0, 1), cur.f.coefficient(1, 0)),

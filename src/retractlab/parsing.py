@@ -181,42 +181,45 @@ def _parse_ast(text: str) -> Any:
     return _Parser(text).parse()
 
 
-def _eval_commutative(node: Any, env: dict[str, Any], one: Any) -> Any:
+def _evaluate(node: Any, number, name) -> Any:
+    """Walk a parse tree; ``number`` maps a Fraction and ``name`` a
+    ("name", text, line, column) node to ring elements."""
     kind = node[0]
     if kind == "num":
-        return one * node[1]
+        return number(node[1])
     if kind == "name":
-        name, line, col = node[1], node[2], node[3]
-        if name in env:
-            return env[name]
-        if len(name) > 1 and set(name) <= set(env):
+        return name(node)
+    if kind == "add":
+        return _evaluate(node[1], number, name) + _evaluate(node[2], number, name)
+    if kind == "sub":
+        return _evaluate(node[1], number, name) - _evaluate(node[2], number, name)
+    if kind == "mul":
+        return _evaluate(node[1], number, name) * _evaluate(node[2], number, name)
+    if kind == "neg":
+        return -_evaluate(node[1], number, name)
+    if kind == "pow":
+        return _evaluate(node[1], number, name) ** node[2]
+    raise AssertionError(f"unhandled node {kind}")
+
+
+def _eval_commutative(node: Any, env: dict[str, Any], one: Any) -> Any:
+    def name(leaf: Any) -> Any:
+        text, line, col = leaf[1], leaf[2], leaf[3]
+        if text in env:
+            return env[text]
+        if len(text) > 1 and set(text) <= set(env):
             raise ParseError(
-                f"{name!r}: implicit multiplication is not allowed, "
-                f"write {'*'.join(name)!r}",
+                f"{text!r}: implicit multiplication is not allowed, "
+                f"write {'*'.join(text)!r}",
                 line,
                 col,
             )
         allowed = ", ".join(sorted(env))
         raise ParseError(
-            f"unknown variable {name!r} (expected one of: {allowed})", line, col
+            f"unknown variable {text!r} (expected one of: {allowed})", line, col
         )
-    if kind == "add":
-        return _eval_commutative(node[1], env, one) + _eval_commutative(
-            node[2], env, one
-        )
-    if kind == "sub":
-        return _eval_commutative(node[1], env, one) - _eval_commutative(
-            node[2], env, one
-        )
-    if kind == "mul":
-        return _eval_commutative(node[1], env, one) * _eval_commutative(
-            node[2], env, one
-        )
-    if kind == "neg":
-        return -_eval_commutative(node[1], env, one)
-    if kind == "pow":
-        return _eval_commutative(node[1], env, one) ** node[2]
-    raise AssertionError(f"unhandled node {kind}")
+
+    return _evaluate(node, lambda c: one * c, name)
 
 
 def parse_poly2(text: str) -> Poly2:
@@ -243,27 +246,12 @@ def parse_ncpoly(text: str, field=None):
     fld = field if field is not None else fa.RATIONALS
     ast = _parse_ast(text)
 
-    def ev(node: Any):
-        kind = node[0]
-        if kind == "num":
-            return fa.NcPoly.const(node[1], fld)
-        if kind == "name":
-            name, line, col = node[1], node[2], node[3]
-            if set(name) <= {"x", "y"}:
-                return fa.NcPoly.word(name, fld)
-            raise ParseError(
-                f"unknown word {name!r} (words use letters x and y)", line, col
-            )
-        if kind == "add":
-            return ev(node[1]) + ev(node[2])
-        if kind == "sub":
-            return ev(node[1]) - ev(node[2])
-        if kind == "mul":
-            return ev(node[1]) * ev(node[2])
-        if kind == "neg":
-            return -ev(node[1])
-        if kind == "pow":
-            return ev(node[1]) ** node[2]
-        raise AssertionError(f"unhandled node {kind}")
+    def word(leaf: Any):
+        w, line, col = leaf[1], leaf[2], leaf[3]
+        if set(w) <= {"x", "y"}:
+            return fa.NcPoly.word(w, fld)
+        raise ParseError(
+            f"unknown word {w!r} (words use letters x and y)", line, col
+        )
 
-    return ev(ast)
+    return _evaluate(ast, lambda c: fa.NcPoly.const(c, fld), word)

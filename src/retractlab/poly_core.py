@@ -21,8 +21,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-Rat = Fraction
-
 #: Degree of the zero polynomial.  Compares below every int; never -1.
 MINUS_INF = float("-inf")
 
@@ -292,23 +290,11 @@ class Poly2:
 
     def substitute2(self, a: "Poly2", b: "Poly2") -> "Poly2":
         """Evaluate at x := a, y := b (both in K[x, y])."""
-        by_j: dict[int, list[tuple[int, Fraction]]] = {}
-        for m, c in self._terms.items():
-            by_j.setdefault(m.j, []).append((m.i, c))
-        inner: list[tuple[int, Poly2]] = []
-        for j, pairs in by_j.items():
-            inner.append((j, _horner_poly2(pairs, b)))
-        return _horner_poly2_values(inner, a)
+        return _substitute(self, a, b, Poly2.const)
 
     def substitute1(self, s: "UniPoly", t: "UniPoly") -> "UniPoly":
         """Evaluate at x := s(z), y := t(z), landing in K[z]."""
-        by_j: dict[int, list[tuple[int, Fraction]]] = {}
-        for m, c in self._terms.items():
-            by_j.setdefault(m.j, []).append((m.i, c))
-        inner: list[tuple[int, UniPoly]] = []
-        for j, pairs in by_j.items():
-            inner.append((j, _horner_unipoly(pairs, t)))
-        return _horner_unipoly_values(inner, s)
+        return _substitute(self, s, t, UniPoly.const)
 
     # -- printing ----------------------------------------------------------
 
@@ -373,14 +359,19 @@ def _mul_poly2(a: Poly2, b: Poly2) -> Poly2:
     )
 
 
-def _horner_poly2(pairs: list[tuple[int, Fraction]], arg: Poly2) -> Poly2:
-    """Sparse Horner evaluation of sum(c * arg**e) for scalar coefficients."""
-    return _horner_poly2_values([(e, Poly2.const(c)) for e, c in pairs], arg)
+def _substitute(p: Poly2, a, b, const):
+    """p at x := a, y := b, where a and b lie in the ring whose constants
+    ``const`` builds: sparse Horner in y inside each x-power, then in x."""
+    by_j: dict[int, list] = {}
+    for m, c in p._terms.items():
+        by_j.setdefault(m.j, []).append((m.i, const(c)))
+    inner = [(j, _horner(pairs, b)) for j, pairs in by_j.items()]
+    return _horner(inner, a) if inner else const(0)
 
 
-def _horner_poly2_values(pairs: list[tuple[int, Poly2]], arg: Poly2) -> Poly2:
-    if not pairs:
-        return Poly2()
+def _horner(pairs: list, arg):
+    """Sparse Horner evaluation of sum(c * arg**e) over nonempty (e, c)
+    pairs, with c in the ring of arg."""
     pairs = sorted(pairs, key=lambda ec: ec[0], reverse=True)
     acc = pairs[0][1]
     prev = pairs[0][0]
@@ -554,13 +545,6 @@ class UniPoly:
             acc = acc * inner + UniPoly.const(c)
         return acc
 
-    def eval_at(self, v: Scalar) -> Fraction:
-        v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * v + c
-        return acc
-
     def eval_at_poly(self, p: Poly2) -> Poly2:
         """self(p) inside K[x, y]."""
         acc = Poly2()
@@ -596,28 +580,6 @@ def _coerce_unipoly(value: "UniPoly | Scalar") -> UniPoly:
     if isinstance(value, (int, Fraction)):
         return UniPoly.const(value)
     return NotImplemented  # type: ignore[return-value]
-
-
-def _horner_unipoly(pairs: list[tuple[int, Fraction]], arg: UniPoly) -> UniPoly:
-    return _horner_unipoly_values(
-        [(e, UniPoly.const(c)) for e, c in pairs], arg
-    )
-
-
-def _horner_unipoly_values(
-    pairs: list[tuple[int, UniPoly]], arg: UniPoly
-) -> UniPoly:
-    if not pairs:
-        return UniPoly()
-    pairs = sorted(pairs, key=lambda ec: ec[0], reverse=True)
-    acc = pairs[0][1]
-    prev = pairs[0][0]
-    for e, c in pairs[1:]:
-        acc = acc * (arg ** (prev - e)) + c
-        prev = e
-    if prev:
-        acc = acc * (arg**prev)
-    return acc
 
 
 def substitute2(p: Poly2, a: Poly2, b: Poly2) -> Poly2:

@@ -24,10 +24,11 @@ from .endo_algebra import (
     Endo,
     TameAuto,
     compose,
+    move_to_obj,
     random_tame,
 )
 from .errors import InternalCheckError
-from .poly_core import MINUS_INF, Monomial, Poly2, UniPoly
+from .poly_core import MINUS_INF, Poly2, UniPoly
 from .retracts import RetractCertificate, generates_kz, is_retract_generator_bounded
 
 log = logging.getLogger(__name__)
@@ -458,8 +459,8 @@ class StuckReport:
 StepResult = Union[Reduced, LinearComponent, StuckReport]
 
 
-def _mono_text(m: Monomial) -> str:
-    return Poly2.monomial(m.i, m.j).to_text()
+def _mono_text(i: int, j: int) -> str:
+    return Poly2.monomial(i, j).to_text()
 
 
 def _assert_strict_drop(old: Poly2, new: Poly2) -> None:
@@ -485,43 +486,47 @@ def reduction_step(psi: Endo) -> StepResult:
         return LinearComponent("first")
     if _linear_y_form(g):
         return LinearComponent("second")
-    vf = f.leading_monomial()
-    vg = g.leading_monomial()
-    k = _k_multiple(vf.i, vf.j, vg.i, vg.j)
-    if k is not None:
-        c = f.leading_coefficient() / g.leading_coefficient() ** k
-        move = ElemX(UniPoly.from_terms({k: -c}))
-        new = compose(psi, move.to_endo())
-        if new.g != g:
-            raise InternalCheckError("rewrite touched the second component")
-        _assert_strict_drop(f, new.f)
-        return Reduced(move, new)
-    k = _k_multiple(vg.i, vg.j, vf.i, vf.j)
-    if k is not None:
-        c = g.leading_coefficient() / f.leading_coefficient() ** k
-        move = ElemY(UniPoly.from_terms({k: -c}))
-        new = compose(psi, move.to_endo())
-        if new.f != f:
-            raise InternalCheckError("rewrite touched the first component")
-        _assert_strict_drop(g, new.g)
-        return Reduced(move, new)
-    return StuckReport(
-        (vf.i, vf.j),
-        (vg.i, vg.j),
-        "neither leading monomial is a positive power of the other: "
-        f"v(f) = {_mono_text(vf)}, v(g) = {_mono_text(vg)}",
-    )
+    lp = LeadingPair.from_endo(psi)
+    dep = leading_dependence(lp)
+    if dep is None:
+        return StuckReport(
+            (lp.a, lp.b),
+            (lp.c, lp.d),
+            "neither leading monomial is a positive power of the other: "
+            f"v(f) = {_mono_text(lp.a, lp.b)}, v(g) = {_mono_text(lp.c, lp.d)}",
+        )
+    # Index of the component to lower: f by a power of g (ElemX), or g by
+    # a power of f (ElemY) when the dependence is swapped.
+    low, keep = (1, 0) if dep.swapped else (0, 1)
+    pair = (f, g)
+    c = pair[low].leading_coefficient() / pair[keep].leading_coefficient() ** dep.k
+    move = (ElemX, ElemY)[low](UniPoly.from_terms({dep.k: -c}))
+    new = compose(psi, move.to_endo())
+    new_pair = (new.f, new.g)
+    if new_pair[keep] != pair[keep]:
+        which = ("first", "second")[keep]
+        raise InternalCheckError(f"rewrite touched the {which} component")
+    _assert_strict_drop(pair[low], new_pair[low])
+    return Reduced(move, new)
 
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """Automorphism with a factorized inverse trail, stuck, or budget."""
+    """Automorphism with a factorized inverse trail, stuck, or budget.
+
+    ``moves`` holds the elementary moves the loop applied, in order; on
+    an automorphism they open the trail.
+    """
 
     kind: str  # "automorphism" | "stuck" | "budget"
-    steps: int
+    moves: tuple[Union[ElemX, ElemY], ...]
     trail: Optional[TameAuto] = None
     step: Optional[int] = None
     report: Optional[StuckReport] = None
+
+    @property
+    def steps(self) -> int:
+        return len(self.moves)
 
     def __bool__(self) -> bool:
         return self.kind == "automorphism"
@@ -550,55 +555,62 @@ def _verify_trail(original: Endo, trail: TameAuto) -> None:
             raise InternalCheckError("trail is not a right inverse")
 
 
+def _automorphism(
+    original: Endo, moves: tuple, rights: list, lefts: list[Affine]
+) -> ReductionOutcome:
+    """Outcome once the left moves, the original map and the right moves
+    compose to the identity; the trail, rights then lefts reversed, is
+    the original map's inverse."""
+    trail = TameAuto(tuple(rights) + tuple(reversed(lefts)))
+    _verify_trail(original, trail)
+    return ReductionOutcome("automorphism", moves, trail=trail)
+
+
+def _stuck(moves: tuple, report: StuckReport) -> ReductionOutcome:
+    """Outcome for an obstruction found after the given moves."""
+    return ReductionOutcome("stuck", moves, step=len(moves), report=report)
+
+
 def run_reduction(psi: Endo, max_steps: int = 200) -> ReductionOutcome:
     """Drive reduction_step to the identity or a definite obstruction.
 
+    At most ``max_steps`` moves are applied; one more yields "budget".
     On success the returned trail is psi's inverse as an explicit tame
     factorization; composing it with psi on either side gives the
     identity, asserted exactly.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
     original = psi
-    rights: list = []
-    lefts: list[Affine] = []
-    steps = 0
+    moves: list = []
     while True:
         if psi.is_identity():
-            trail = TameAuto(tuple(rights) + tuple(reversed(lefts)))
-            _verify_trail(original, trail)
-            return ReductionOutcome("automorphism", steps=steps, trail=trail)
+            return _automorphism(original, tuple(moves), moves, [])
         if psi.f.is_constant() or psi.g.is_constant():
-            return ReductionOutcome(
-                "stuck",
-                steps=steps,
-                step=steps,
-                report=StuckReport(
-                    None, None, "a component is constant; not invertible"
-                ),
+            return _stuck(
+                tuple(moves),
+                StuckReport(None, None, "a component is constant; not invertible"),
             )
         result = reduction_step(psi)
         if isinstance(result, Reduced):
-            if steps >= max_steps:
-                return ReductionOutcome("budget", steps=steps)
-            rights.append(result.move)
+            if len(moves) >= max_steps:
+                return ReductionOutcome("budget", tuple(moves))
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("step %d: %s", len(moves), move_to_obj(result.move))
+            moves.append(result.move)
             psi = result.psi
-            steps += 1
             continue
         if isinstance(result, StuckReport):
-            return ReductionOutcome(
-                "stuck", steps=steps, step=steps, report=result
-            )
-        return _finalize(original, psi, result, rights, lefts, steps)
+            return _stuck(tuple(moves), result)
+        return _finalize(original, psi, result, tuple(moves))
 
 
 def _finalize(
-    original: Endo,
-    psi: Endo,
-    slot: LinearComponent,
-    rights: list,
-    lefts: list[Affine],
-    steps: int,
+    original: Endo, psi: Endo, slot: LinearComponent, moves: tuple
 ) -> ReductionOutcome:
     """From a linear a*y + b component, pivot to (x, y*h) and decide."""
+    rights: list = list(moves)
+    lefts: list[Affine] = []
     if slot.which == "second":
         psi = compose(psi, _BETA.to_endo())
         rights.append(_BETA)
@@ -620,28 +632,15 @@ def _finalize(
         psi = compose(psi, move.to_endo())
         rights.append(move)
     h3 = _strip_y(psi.g)
-    if h3.is_zero():
-        return ReductionOutcome(
-            "stuck",
-            steps=steps,
-            step=steps,
-            report=StuckReport(
+    if h3.is_zero() or not h3.is_constant():
+        h_text = "h = 0" if h3.is_zero() else f"nonconstant h = {h3}"
+        return _stuck(
+            moves,
+            StuckReport(
                 None,
                 None,
                 "after normalization the second component is y*h with "
-                "h = 0; not an automorphism",
-            ),
-        )
-    if not h3.is_constant():
-        return ReductionOutcome(
-            "stuck",
-            steps=steps,
-            step=steps,
-            report=StuckReport(
-                None,
-                None,
-                "after normalization the second component is y*h with "
-                f"nonconstant h = {h3}; not an automorphism",
+                f"{h_text}; not an automorphism",
             ),
         )
     c = h3.constant_value()
@@ -653,9 +652,7 @@ def _finalize(
         rights.append(final.inverse())
     if not psi.is_identity():
         raise InternalCheckError("finalization did not reach the identity")
-    trail = TameAuto(tuple(rights) + tuple(reversed(lefts)))
-    _verify_trail(original, trail)
-    return ReductionOutcome("automorphism", steps=steps, trail=trail)
+    return _automorphism(original, moves, rights, lefts)
 
 
 # ------------------------------------------------------------- transport

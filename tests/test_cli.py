@@ -3,14 +3,16 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from retractlab import cli
+from retractlab import cli, theorem_lab
 
 SCHEMA = json.loads(
     resources.files("retractlab")
@@ -28,6 +30,19 @@ def run_cli(*argv):
     out = buf.getvalue()
     assert out.endswith("\n")
     return code, out
+
+
+def run_module(*argv):
+    """Run ``python -m retractlab.cli`` on the package these tests import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "retractlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def run_json(*argv):
@@ -156,6 +171,47 @@ class TestTheoremCommands:
         assert obj["kind"] == "budget"
         assert obj["steps"] == 0
 
+    def test_reduce_rejects_negative_budget(self):
+        for argv in (
+            ("reduce", "x+y^2", "y+(x+y^2)^2", "--max-steps", "-1"),
+            ("reduce", "x", "y", "--max-steps", "-5"),
+        ):
+            code, obj = run_json(*argv)
+            assert code == 2, argv
+            assert "max_steps" in obj["error"]
+
+    def test_reduce_is_one_pass(self, monkeypatch):
+        calls = []
+        step = theorem_lab.reduction_step
+
+        def counting(psi):
+            calls.append(psi)
+            return step(psi)
+
+        monkeypatch.setattr(theorem_lab, "reduction_step", counting)
+        monkeypatch.setattr(cli, "reduction_step", counting, raising=False)
+        code, obj = run_json("reduce", "x+y^2", "y+(x+y^2)^2")
+        assert (code, obj["steps"]) == (0, 1)
+        # one call per applied move plus the call that finds the linear slot
+        assert len(calls) == 2
+
+    def test_reduce_trace_opens_trail(self):
+        for argv in (
+            ("reduce", "x+y^2", "y+(x+y^2)^2"),
+            ("reduce", "x+(y+x^2)^2", "y+x^2"),
+        ):
+            code, obj = run_json(*argv)
+            assert code == 0 and obj["steps"] >= 1
+            assert obj["trace"] == obj["trail"][: obj["steps"]]
+
+    def test_reduce_trace_lists_applied_moves(self):
+        code, obj = run_json("reduce", "x+y^2", "(x+y^2)^2+y^3")
+        assert (code, obj["kind"], obj["steps"]) == (1, "stuck", 1)
+        assert obj["trace"] == [{"elemY": "-x^2"}]
+        code, obj = run_json("reduce", "x+(y+x^2)^2", "y+x^2", "--max-steps", "1")
+        assert (code, obj["kind"], obj["steps"]) == (1, "budget", 1)
+        assert obj["trace"] == [{"elemX": "-y^2"}]
+
     def test_experiment(self):
         code, obj = run_json("experiment", "--seed", "7", "--trials", "5")
         assert code == 0
@@ -241,11 +297,7 @@ class TestOutputContract:
             json.loads(out)
 
     def test_console_script_round_trip(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "retractlab.cli", "witness", "--n", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("witness", "--n", "2")
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
         VALIDATOR.validate(obj)
@@ -253,10 +305,6 @@ class TestOutputContract:
 
     def test_log_env_traces_to_stderr(self, monkeypatch):
         monkeypatch.setenv("RETRACTLAB_LOG", "DEBUG")
-        proc = subprocess.run(
-            [sys.executable, "-m", "retractlab.cli", "jacobian", "x", "y"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("jacobian", "x", "y")
         assert proc.returncode == 0
         assert "retractlab" in proc.stderr

@@ -8,7 +8,7 @@ arithmetic paths without reusing them.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retractlab.poly_core import (
@@ -170,6 +170,58 @@ def test_substitute1_frozen_oracle():
 @given(poly2s)
 def test_substitute2_identity(p):
     assert substitute2(p, X, Y) == p
+
+
+# Exponents with gaps above 1, so sparse Horner must raise the argument
+# to powers beyond the first; the empty dict gives the zero polynomial.
+sparse_poly2s = st.dictionaries(
+    st.tuples(st.sampled_from([0, 1, 3, 6]), st.sampled_from([0, 2, 5])),
+    rationals,
+    max_size=4,
+).map(Poly2)
+
+small_poly2s = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    rationals,
+    max_size=3,
+).map(Poly2)
+
+sparse_unipolys = st.dictionaries(
+    st.sampled_from([0, 2, 5]), rationals, max_size=3
+).map(UniPoly.from_terms)
+
+points = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
+)
+
+
+def eval_z(u: UniPoly, r: Fraction) -> Fraction:
+    return eval_point(Poly2({(0, k): c for k, c in enumerate(u.coeffs)}), r, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(sparse_poly2s, poly2s), small_poly2s, small_poly2s, points, points
+)
+@example(Poly2.zero(), X + Y, X * Y, Fraction(2), Fraction(-1, 3))
+def test_substitute2_agrees_with_point_evaluation(p, a, b, u, v):
+    image = substitute2(p, a, b)
+    assert eval_point(image, u, v) == eval_point(
+        p, eval_point(a, u, v), eval_point(b, u, v)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(sparse_poly2s, poly2s),
+    st.one_of(sparse_unipolys, unipolys),
+    st.one_of(sparse_unipolys, unipolys),
+    points,
+)
+@example(Poly2.zero(), Z, Z**2, Fraction(3, 2))
+def test_substitute1_agrees_with_point_evaluation(p, s, t, r):
+    image = substitute1(p, s, t)
+    assert eval_z(image, r) == eval_point(p, eval_z(s, r), eval_z(t, r))
 
 
 @settings(max_examples=30)

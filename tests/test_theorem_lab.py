@@ -421,6 +421,27 @@ class TestRunReduction:
         assert full.kind == "automorphism" and full.steps >= 2
         out = run_reduction(e, max_steps=1)
         assert out.kind == "budget" and out.steps == 1
+        assert out.moves == full.moves[:1]
+
+    def test_negative_budget_rejected(self):
+        e = Endo(X + Y**2, Y + (X + Y**2) ** 2)
+        with pytest.raises(ValueError, match="max_steps"):
+            run_reduction(e, max_steps=-1)
+        with pytest.raises(ValueError, match="max_steps"):
+            run_reduction(Endo.identity(), max_steps=-5)
+        assert run_reduction(e, max_steps=0).kind == "budget"
+        assert run_reduction(Endo.identity(), max_steps=0).kind == "automorphism"
+
+    def test_moves_recorded_for_every_kind(self):
+        e = Endo(X + Y**2, Y + (X + Y**2) ** 2)
+        out = run_reduction(e)
+        assert out.kind == "automorphism"
+        assert out.moves == (ElemY(upoly(0, 0, -1)),)
+        assert out.trail.moves[: out.steps] == out.moves
+        out = run_reduction(Endo(X + Y**2, (X + Y**2) ** 2 + Y**3))
+        assert out.kind == "stuck" and out.step == out.steps == 1
+        assert out.moves == (ElemY(upoly(0, 0, -1)),)
+        assert run_reduction(e, max_steps=0).moves == ()
 
     def test_seeded_tames_reduce(self):
         for seed in range(120):
