@@ -11,19 +11,29 @@ ascending, then deg s ascending, then the canonical coefficient order
 says no certificate was found with both degrees within the bound, with
 enumerated coefficients drawn from the finite search set.  Sides obtained
 by exact linear elimination are not grid limited.
+
+When both sides are enumerated, a candidate is decided without building
+p(s(z), t(z)): the difference z - p(s(z), t(z)) has degree at most
+D = max(top, 1), where top is p's largest weighted degree i*deg(t) +
+j*deg(s) over its monomials y^i x^j, and a nonzero polynomial of degree at
+most D has at most D roots.  So the identity holds exactly when it holds at
+D + 1 distinct integers, which is checked in integer arithmetic after
+clearing denominators once per cell.  The returned pair is still verified
+symbolically before it is reported.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .endo_algebra import Endo, TameAuto, compose
 from .errors import InternalCheckError
-from .poly_core import Poly2, UniPoly, try_sqrt
+from .poly_core import Monomial, Poly2, UniPoly, _int_core, try_sqrt
 
 log = logging.getLogger(__name__)
 
@@ -198,17 +208,23 @@ class SearchResult:
         return self.found
 
 
-def _coeff_vectors(deg: int, scalars: Sequence[Fraction]) -> Iterator[UniPoly]:
-    """Polynomials of degree exactly deg (constants include zero for deg 0),
-    lexicographic over the scalar sequence, constant term varying slowest."""
+def _coeff_tuples(deg: int, scalars: Sequence) -> Iterator[tuple]:
+    """Coefficient tuples (constant term first) of degree exactly deg, with
+    constants including zero for deg 0, lexicographic over the scalar
+    sequence, constant term varying slowest."""
     if deg == 0:
         for c in scalars:
-            yield UniPoly((c,))
+            yield (c,)
         return
     nonzero = [c for c in scalars if c]
     for body in itertools.product(scalars, repeat=deg):
         for lead in nonzero:
-            yield UniPoly(body + (lead,))
+            yield body + (lead,)
+
+
+def _coeff_vectors(deg: int, scalars: Sequence[Fraction]) -> Iterator[UniPoly]:
+    """The polynomials of ``_coeff_tuples``, in the same order."""
+    return map(UniPoly, _coeff_tuples(deg, scalars))
 
 
 def _first_vector(deg: int, scalars: Sequence[Fraction]) -> UniPoly:
@@ -322,6 +338,16 @@ def _solve_linear_cell(
 def _solve_grid_cell(
     p: Poly2, ds: int, dt: int, scalars: Sequence[Fraction]
 ) -> Optional[tuple[UniPoly, UniPoly]]:
+    """First pair (s, t) of the cell with deg s = ds, deg t = dt, in the
+    documented order, such that p(s, t) = z.
+
+    With both sides nonconstant, p(s(z), t(z)) has degree at most the top
+    weighted degree max(j*ds + i*dt) over the monomials y^i x^j of p, so
+    z - p(s, t) has degree at most D = max(top, 1).  A nonzero polynomial
+    of degree at most D has at most D roots, so each candidate is decided
+    exactly by its values at D + 1 distinct integers, in integer
+    arithmetic (``_IntImage``); only the returned pair becomes UniPolys.
+    """
     if ds == 0 and dt == 0:
         return None  # constant image is never z
     if dt == 0 or ds == 0:
@@ -347,56 +373,149 @@ def _solve_grid_cell(
     # both sides nonconstant: prune on the top weighted-degree coefficient
     weights = {m: m.i * dt + m.j * ds for m, _ in p.items()}
     top = max(weights.values())
-    tops = [(m, c) for m, c in p.items() if weights[m] == top]
-    nonzero = [c for c in scalars if c]
-    allowed: Optional[set[tuple[Fraction, Fraction]]] = None
+    image = _IntImage(p, scalars, max(top, 1))
+    tops = [(m, n) for m, n in image.terms.items() if weights[m] == top]
+    nonzero = [k for k in image.ints if k]
+    allowed: Optional[set[tuple[int, int]]] = None
     if top != 1:
         # image degree stays at top unless the leading coefficients cancel
         allowed = {
             (ls, lt)
             for ls in nonzero
             for lt in nonzero
-            if not sum(c * lt**m.i * ls**m.j for m, c in tops)
+            if not sum(n * lt**m.i * ls**m.j for m, n in tops)
         }
-        if not allowed:
-            return None
-    by_j: dict[int, list[tuple[int, Fraction]]] = {}
-    for m, c in p.items():
-        by_j.setdefault(m.j, []).append((m.i, c))
-    lead_s = {ls for ls, _ in allowed} if allowed is not None else None
-    for s in _coeff_vectors(ds, scalars):
-        if lead_s is not None and s.leading_coefficient() not in lead_s:
+    hit, tried, pruned = _search_cell(image, ds, dt, allowed)
+    log.debug(
+        "grid cell (%d, %d): %d points, %d candidates tried, %d pruned by "
+        "the leading pair",
+        ds,
+        dt,
+        len(image.points),
+        tried,
+        pruned,
+    )
+    if hit is None:
+        return None
+    return image.side(hit[0]), image.side(hit[1])
+
+
+class _IntImage:
+    """p(s, t) - z over integers, for sides s = S/L and t = T/L with S and T
+    integer tuples, read at fixed distinct integer points.
+
+    L is the lcm of the coefficient set's denominators and p = P/den with P
+    integral (``_int_core``).  Multiplying by den * L^deg(p) gives
+
+        sum_m P_m * L^(deg(p) - i - j) * S^j * T^i  -  den * L^deg(p) * z
+
+    over the monomials m = y^i x^j of p: integer coefficients throughout,
+    with the same roots as p(s, t) - z.  A plain slotted class: a dataclass
+    would cost about a millisecond at every import.
+    """
+
+    __slots__ = ("scale", "ints", "terms", "z_coeff", "points")
+
+    def __init__(self, p: Poly2, scalars: Sequence[Fraction], degree: int):
+        """The integer form for a cell whose p(s, t) - z has degree at most
+        ``degree``: one point more than that decides it.  The points avoid
+        0 and +-1, where small-coefficient polynomials often agree."""
+        num, den = _int_core(dict(p.items()))
+        deg = p.deg()
+        self.scale = math.lcm(*(c.denominator for c in scalars))  # L
+        # the coefficient set times L, in its order
+        self.ints = tuple((c * self.scale).numerator for c in scalars)
+        self.terms: dict[Monomial, int] = {
+            m: n * self.scale ** (deg - m.i - m.j) for m, n in num.items()
+        }
+        self.z_coeff = den * self.scale**deg
+        self.points = tuple(range(2, degree + 3))
+
+    def row(self, s: tuple[int, ...], a: int) -> list[int]:
+        """Coefficients, constant first, of the polynomial R in T with
+        R(T) = sum_m P_m * L^(deg(p) - i - j) * S(a)^j * T^i - den*L^deg(p)*a,
+        so that R(T(a)) is the scaled p(s, t) - z at z = a."""
+        sa = _horner_int(s, a)
+        row = [0] * (max(m.i for m in self.terms) + 1)
+        for m, n in self.terms.items():
+            row[m.i] += n * sa**m.j
+        row[0] -= self.z_coeff * a
+        return row
+
+    def side(self, coeffs: tuple[int, ...]) -> UniPoly:
+        return UniPoly(Fraction(k, self.scale) for k in coeffs)
+
+
+def _horner_int(coeffs: Sequence[int], a: int) -> int:
+    """Value at a of the integer polynomial with coefficients coeffs,
+    constant term first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
+
+
+def _search_cell(
+    image: _IntImage,
+    ds: int,
+    dt: int,
+    allowed: Optional[set[tuple[int, int]]],
+) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], int, int]:
+    """First (S, T) in the documented order, with deg S = ds, deg T = dt,
+    whose leading pair is allowed (any, when allowed is None) and with
+    p(s, t) = z; with the numbers of candidates tried and pruned.
+
+    T is walked as a body (all but its leading coefficient) and a lead, so
+    T at the first point costs one Horner pass per body, not per lead."""
+    nonzero = [k for k in image.ints if k]
+    t_leads = {
+        ls: [lt for lt in nonzero if allowed is None or (ls, lt) in allowed]
+        for ls in nonzero
+    }
+    t_bodies = len(image.ints) ** dt
+    if not any(t_leads.values()):
+        s_count = len(image.ints) ** ds * len(nonzero)
+        return None, 0, s_count * t_bodies * len(nonzero)
+    first = image.points[0]
+    first_top = first**dt
+    tried = pruned = 0
+    for s in _coeff_tuples(ds, image.ints):
+        leads = t_leads[s[-1]]
+        pruned += (len(nonzero) - len(leads)) * t_bodies
+        if not leads:
             continue
-        s_pows: dict[int, UniPoly] = {}
-        for t in _coeff_vectors(dt, scalars):
-            if allowed is not None and (
-                (s.leading_coefficient(), t.leading_coefficient())
-                not in allowed
-            ):
-                continue
-            if _evaluates_to_z(by_j, s, t, s_pows):
-                return (s, t)
-    return None
+        s_rows: list[list[int]] = []
+        for body in itertools.product(image.ints, repeat=dt):
+            body_at_first = _horner_int(body, first)
+            for lt in leads:
+                tried += 1
+                t = body + (lt,)
+                if _evaluates_to_z(
+                    image, s, s_rows, t, body_at_first + lt * first_top
+                ):
+                    return (s, t), tried, pruned
+    return None, tried, pruned
 
 
 def _evaluates_to_z(
-    by_j: dict[int, list[tuple[int, Fraction]]],
-    s: UniPoly,
-    t: UniPoly,
-    s_pows: dict[int, UniPoly],
+    image: _IntImage,
+    s: tuple[int, ...],
+    s_rows: list[list[int]],
+    t: tuple[int, ...],
+    t_at_first: int,
 ) -> bool:
-    t_pows: dict[int, UniPoly] = {0: UniPoly.const(1), 1: t}
-    acc = UniPoly.zero()
-    for j, pairs in by_j.items():
-        if j not in s_pows:
-            s_pows[j] = s**j
-        inner = UniPoly.zero()
-        for i, c in pairs:
-            if i not in t_pows:
-                t_pows[i] = t**i
-            inner = inner + t_pows[i] * c
-        acc = acc + inner * s_pows[j]
-    return acc == _Z
+    """Is p(s, t) = z?  The scaled p(s, t) - z is read at image.points in
+    order, stopping at the first nonzero value.  It has degree below the
+    number of points, so vanishing at all of them makes it zero.
+
+    s_rows caches ``image.row(s, a)`` per point for the current s, and
+    t_at_first is T at the first point."""
+    for k, a in enumerate(image.points):
+        if k == len(s_rows):
+            s_rows.append(image.row(s, a))
+        if _horner_int(s_rows[k], _horner_int(t, a) if k else t_at_first):
+            return False
+    return True
 
 
 # ------------------------------------------------------------ span test

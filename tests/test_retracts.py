@@ -1,5 +1,7 @@
 """Retract certificates, retraction endomorphisms, bounded search, span test."""
 
+import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from retractlab.endo_algebra import ElemX, ElemY, TameAuto, compose, random_tame
 from retractlab.errors import InternalCheckError
-from retractlab.poly_core import Poly2, UniPoly
+from retractlab.poly_core import Poly2, UniPoly, try_sqrt
 from retractlab.retracts import (
     CANONICAL_COEFFS,
     Retraction,
@@ -283,6 +285,166 @@ def test_search_coeff_set_needs_nonzero():
 def test_search_result_truthiness():
     assert is_retract_generator_bounded(X, 1)
     assert not is_retract_generator_bounded(X**2, 1)
+
+
+# ------------------------------------- bounded search against brute force
+
+
+def _grid_polys(deg, scalars):
+    """Every polynomial of degree exactly deg (every constant, zero
+    included, for deg 0) with coefficients from scalars: constant term
+    varying slowest, leading coefficient fastest."""
+    if deg == 0:
+        return [UniPoly((c,)) for c in scalars]
+    return [
+        UniPoly(body + (lead,))
+        for body in itertools.product(scalars, repeat=deg)
+        for lead in scalars
+        if lead
+    ]
+
+
+def _reference_pairs(p, ds, dt, scalars):
+    if (ds, dt) in ((1, 0), (0, 1)):
+        # one constant side c from the grid; the linear side is solved
+        # exactly from p(z, c) or p(c, z), so it is not grid limited
+        for c in scalars:
+            const = UniPoly((c,))
+            q = p.substitute1(Z, const) if dt == 0 else p.substitute1(const, Z)
+            if q.deg() == 1:
+                solved = (Z - UniPoly((q.coefficient(0),))) / q.coefficient(1)
+                yield (solved, const) if dt == 0 else (const, solved)
+        return
+    for s in _grid_polys(ds, scalars):
+        for t in _grid_polys(dt, scalars):
+            yield s, t
+
+
+def _reference_search(p, max_deg, coeff_set=CANONICAL_COEFFS):
+    """Brute force in the documented order, each pair decided by
+    verify_retract_generator."""
+    scalars = [Fraction(c) for c in coeff_set]
+    for total in range(2 * max_deg + 1):
+        for ds in range(max(0, total - max_deg), min(total, max_deg) + 1):
+            for s, t in _reference_pairs(p, ds, total - ds, scalars):
+                if verify_retract_generator(p, s, t):
+                    return True, s, t, "certificate found"
+    grid = "{" + ", ".join(str(c) for c in scalars) + "}"
+    return (
+        False,
+        None,
+        None,
+        f"no certificate with both degrees <= {max_deg} and enumerated "
+        f"coefficients from {grid}",
+    )
+
+
+def _random_grid_p(rng, coeffs):
+    """Degree 2 or 3, both variables at degree >= 2 (so both sides are
+    enumerated), and not a square up to sign."""
+    while True:
+        deg = rng.choice((2, 3))
+        p = Poly2(
+            {
+                (i, j): rng.choice(coeffs)
+                for i in range(deg + 1)
+                for j in range(deg + 1 - i)
+                if rng.random() < 0.6
+            }
+        )
+        if (
+            p.deg() == deg
+            and p.deg_x() >= 2
+            and p.deg_y() >= 2
+            and try_sqrt(p) is None
+            and try_sqrt(-p) is None
+        ):
+            return p
+
+
+def _pulled_back_coordinate(u, a, b, c, d):
+    """x - u(y) at x := a*x + b*y, y := c*x + d*y.  With k a constant,
+    x - u(y) has the certificate (z + u(k), k), so this p has the
+    degree-1 certificate solving a*s + b*t = z + u(k), c*s + d*t = k."""
+    return (X * a + Y * b) - u.eval_at_poly(X * c + Y * d)
+
+
+def _assert_matches_reference(p, max_deg, coeff_set=CANONICAL_COEFFS):
+    got = is_retract_generator_bounded(p, max_deg, coeff_set)
+    want = _reference_search(p, max_deg, coeff_set)
+    assert (got.found, got.s, got.t, got.reason) == want, p.to_text()
+    return got
+
+
+def test_search_matches_brute_force_random():
+    rng = random.Random(20)
+    coeffs = (-2, -1, 0, 1, 2, Fraction(1, 2))
+    for _ in range(10):
+        _assert_matches_reference(_random_grid_p(rng, coeffs), 1)
+    for _ in range(2):
+        _assert_matches_reference(
+            _random_grid_p(rng, coeffs), 2, coeff_set=(0, 1, -1)
+        )
+
+
+def test_search_matches_brute_force_fractional_coeff_set():
+    rng = random.Random(21)
+    half = (0, 1, Fraction(1, 2))
+    for _ in range(4):
+        _assert_matches_reference(_random_grid_p(rng, (-1, 0, 1, 2)), 1, half)
+    # (x + y) - (x - y)^2: with k = 0, s = t = z/2, inside {0, 1, 1/2}
+    p = _pulled_back_coordinate(upoly(0, 0, 1), 1, 1, 1, -1)
+    got = _assert_matches_reference(p, 1, half)
+    assert got.found
+
+
+def test_search_matches_brute_force_known_certificates():
+    # (x + y) - u(x + 2y) has the certificate (2z + 2u(k) - k, k - z - u(k))
+    # for every constant k: both sides of degree 1, found by the grid
+    for u in (upoly(0, 0, 1), upoly(1, -1, 1), upoly(0, 1, 0, -1)):
+        p = _pulled_back_coordinate(u, 1, 1, 1, 2)
+        assert p.deg_x() >= 2 and p.deg_y() >= 2
+        got = _assert_matches_reference(p, 1)
+        assert got.found and got.s.deg() == got.t.deg() == 1
+    p = _pulled_back_coordinate(upoly(0, 0, -1), 2, 1, 1, 1)
+    assert _assert_matches_reference(p, 2).found
+
+
+def test_search_balanced_composite_max_deg_3():
+    # F(a*x + b*y + c) with deg F = 2 and |a| = |b|: every image is F of a
+    # polynomial, of degree 0 or >= 2, never z; every cell up to (3, 3) is
+    # searched
+    for lin in (X + Y + 1, X * 2 - Y * 2 - 1):
+        p = upoly(1, 1, 1).eval_at_poly(lin)
+        d = is_retract_generator_bounded(p, 3)
+        assert not d.found and d.s is None and d.t is None
+        assert d.reason == (
+            "no certificate with both degrees <= 3 and enumerated "
+            "coefficients from {0, 1, -1, 2, -2}"
+        )
+
+
+def _grid_cell_logs(caplog, p, max_deg):
+    caplog.clear()
+    is_retract_generator_bounded(p, max_deg)
+    return [r.getMessage() for r in caplog.records if "grid cell" in r.message]
+
+
+def test_search_logs_each_grid_cell(caplog):
+    caplog.set_level(logging.DEBUG, logger="retractlab.retracts")
+    # top weighted degree 2 in cell (1, 1), so three points; the leading
+    # pair survives only when ls^2 + ls*lt + lt^2 = 0, never over the
+    # rationals, so all 20 * 20 candidates are pruned
+    assert _grid_cell_logs(caplog, X**2 + Y**2 + X * Y + 1, 1) == [
+        "grid cell (1, 1): 3 points, 0 candidates tried, 400 pruned by the "
+        "leading pair"
+    ]
+    # ls^2 = lt^2 survives: the first s = z keeps t-leads 1 and -1 of four
+    # over five t-bodies (10 pruned), and its first t = z is a certificate
+    assert _grid_cell_logs(caplog, X**2 - Y**2 + X, 1) == [
+        "grid cell (1, 1): 3 points, 1 candidates tried, 10 pruned by the "
+        "leading pair"
+    ]
 
 
 # -------------------------------------------------------------- span test
