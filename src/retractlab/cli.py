@@ -10,6 +10,7 @@ violations.  Set RETRACTLAB_LOG to a level name for stderr tracing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -126,9 +127,7 @@ def _cmd_decompose(args):
     decision = is_automorphism(e)
     if not decision.is_automorphism:
         return {"verdict": "no", "reason": decision.reason}, 1
-    recomposed = decision.factorization.to_endo() == e
-    if not recomposed:
-        raise InternalCheckError("factorization does not recompose")
+    # is_automorphism raises unless the factorization recomposes to e
     obj = {
         "verdict": "yes",
         "moves": decision.factorization.to_obj(),
@@ -276,7 +275,10 @@ def _cmd_nc_verify(args):
 # --------------------------------------------------------------- parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="retractlab",
         description="Exact decisions about plane polynomial maps and retracts.",

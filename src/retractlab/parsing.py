@@ -15,13 +15,14 @@ is a word over the letters x and y (juxtaposition inside one token means
 concatenation, so ``xyx`` is a length-3 word), and ``*`` is the
 noncommutative product.  Univariate mode admits the single variable z.
 
-Errors carry 1-based line and column positions.
+Errors carry 1-based line and column positions.  Parentheses may nest at
+most NESTING_CAP deep, and a sum or product of any length evaluates
+without recursion.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -29,6 +30,10 @@ from .poly_core import Poly2, UniPoly
 
 #: Largest exponent a literal may carry; guards accidental blowup.
 EXPONENT_CAP = 4096
+
+#: Deepest parenthesis nesting accepted.  Parser and evaluator recurse per
+#: level only, so this keeps both far below Python's recursion limit.
+NESTING_CAP = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -51,189 +56,282 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
-    text: str
-    line: int
-    column: int
+# A token is a tuple (kind, text, line, column).  kind is "number", "name",
+# "end", or for an operator the operator character itself.
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
     line, col = 1, 1
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup or "bad"
+        kind = match.lastgroup
         chunk = match.group()
-        if kind == "bad":
+        if kind == "ws":
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                col = len(chunk) - chunk.rfind("\n")
+                continue
+        elif kind == "op":
+            tokens.append((chunk, chunk, line, col))
+        elif kind == "bad":
             raise ParseError(f"unexpected character {chunk!r}", line, col)
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
         else:
-            col += len(chunk)
-    tokens.append(_Token("end", "", line, col))
+            tokens.append((kind, chunk, line, col))
+        col += len(chunk)
+    tokens.append(("end", "", line, col))
     return tokens
+
+
+# Parse tree nodes:
+#   ("num", int | Fraction)
+#   ("name", text, line, column)
+#   ("sum", ((sign, node), ...))   sign +1 or -1; the first is always +1
+#   ("mul", (node, ...))           two or more factors, in order
+#   ("neg", node)
+#   ("pow", node, (exponent, ...)) exponents applied left to right
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(
-                f"expected {op!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        self.advance()
-
     def parse(self) -> Any:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
+        kind, text, line, col = self.tokens[self.pos]
+        if kind != "end":
             hint = ""
-            if tok.kind in ("name", "number") or tok.text == "(":
+            if kind in ("name", "number", "("):
                 hint = "; implicit multiplication is not allowed, write '*'"
-            raise ParseError(
-                f"unexpected {tok.text!r}{hint}", tok.line, tok.column
-            )
+            raise ParseError(f"unexpected {text!r}{hint}", line, col)
         return node
 
     def expr(self) -> Any:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+        terms = [(1, self.term())]
+        tokens = self.tokens
+        while tokens[self.pos][0] in ("+", "-"):
+            sign = 1 if self.advance()[0] == "+" else -1
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else ("sum", tuple(terms))
 
     def term(self) -> Any:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            node = ("mul", node, self.factor())
-        return node
+        factors = [self.factor()]
+        tokens = self.tokens
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
 
     def factor(self) -> Any:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return ("neg", self.factor())
+        tokens = self.tokens
+        negate = False
+        while tokens[self.pos][0] == "-":
+            self.pos += 1
+            negate = not negate
         node = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "number" or "/" in exp_tok.text:
+        exponents = []
+        while tokens[self.pos][0] == "^":
+            self.pos += 1
+            kind, text, line, col = self.advance()
+            if kind != "number" or "/" in text:
                 raise ParseError(
-                    "exponent must be a nonnegative integer",
-                    exp_tok.line,
-                    exp_tok.column,
+                    "exponent must be a nonnegative integer", line, col
                 )
-            self.advance()
-            exponent = int(exp_tok.text)
+            exponent = int(text)
             if exponent > EXPONENT_CAP:
                 raise ParseError(
-                    f"exponent overflow (cap {EXPONENT_CAP})",
-                    exp_tok.line,
-                    exp_tok.column,
+                    f"exponent overflow (cap {EXPONENT_CAP})", line, col
                 )
-            node = ("pow", node, exponent)
-        return node
+            exponents.append(exponent)
+        if exponents:
+            node = ("pow", node, tuple(exponents))
+        return ("neg", node) if negate else node
 
     def atom(self) -> Any:
-        tok = self.advance()
-        if tok.kind == "number":
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
+        kind, text, line, col = self.advance()
+        if kind == "number":
+            if "/" in text:
+                num, den = text.split("/")
                 if int(den) == 0:
-                    raise ParseError("zero denominator", tok.line, tok.column)
+                    raise ParseError("zero denominator", line, col)
                 return ("num", Fraction(int(num), int(den)))
-            return ("num", Fraction(int(tok.text)))
-        if tok.kind == "name":
-            return ("name", tok.text, tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
+            return ("num", int(text))
+        if kind == "name":
+            return ("name", text, line, col)
+        if kind == "(":
+            self.depth += 1
+            if self.depth > NESTING_CAP:
+                raise ParseError(
+                    f"parentheses nested deeper than {NESTING_CAP}", line, col
+                )
             node = self.expr()
-            self.expect_op(")")
+            kind, text, line, col = self.advance()
+            if kind != ")":
+                found = text or "end of input"
+                raise ParseError(f"expected ')', found {found!r}", line, col)
+            self.depth -= 1
             return node
-        raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+        found = text or "end of input"
+        raise ParseError(f"expected a term, found {found!r}", line, col)
 
 
 def _parse_ast(text: str) -> Any:
     return _Parser(text).parse()
 
 
-def _evaluate(node: Any, number, name) -> Any:
-    """Walk a parse tree; ``number`` maps a Fraction and ``name`` a
-    ("name", text, line, column) node to ring elements."""
+class _Monomials:
+    """Exponent vectors over a commutative ring's variables.
+
+    ``read`` gives a product of numbers, variables and their powers as a
+    (coefficient, exponent tuple) pair with no ring arithmetic, or None
+    when the node holds a sum; ``build`` turns an {exponents: coefficient}
+    dict into a ring element.  A name that is no variable goes to
+    ``unknown``, which raises.
+    """
+
+    def __init__(self, names: tuple[str, ...], build, unknown):
+        n = len(names)
+        self.units = {
+            v: tuple(int(k == i) for k in range(n)) for i, v in enumerate(names)
+        }
+        self.one = (0,) * n
+        self.build = build
+        self.unknown = unknown
+
+    def read(self, node: Any) -> Any:
+        kind = node[0]
+        if kind == "num":
+            return node[1], self.one
+        if kind == "name":
+            exps = self.units.get(node[1])
+            if exps is None:
+                self.unknown(node)
+            return 1, exps
+        if kind == "mul":
+            c, exps = 1, self.one
+            for factor in node[1]:
+                got = self.read(factor)
+                if got is None:
+                    return None
+                c *= got[0]
+                exps = tuple([a + b for a, b in zip(exps, got[1])])
+            return c, exps
+        if kind == "pow":
+            got = self.read(node[1])
+            if got is None:
+                return None
+            c, exps = got
+            for e in node[2]:
+                c = c**e
+                exps = tuple([a * e for a in exps])
+            return c, exps
+        if kind == "neg":
+            got = self.read(node[1])
+            return None if got is None else (-got[0], got[1])
+        return None
+
+
+def _evaluate(node: Any, number, name, monomials: _Monomials | None = None) -> Any:
+    """Walk a parse tree; ``number`` maps a number and ``name`` a
+    ("name", text, line, column) node to ring elements.
+
+    Sums and products are walked by loops, left to right, so the leftmost
+    bad name is the one reported; recursion follows parentheses only.
+    A commutative ring passes ``monomials``: a sum then gathers its
+    summands that are products of numbers, variables and powers in one
+    exponent -> coefficient dict, and ring arithmetic is left to the other
+    subtrees.  Without it every product keeps its factor order.
+    """
     kind = node[0]
+    if monomials is not None and kind != "sum":
+        got = monomials.read(node)
+        if got is not None:
+            return monomials.build({got[1]: got[0]})
     if kind == "num":
         return number(node[1])
     if kind == "name":
         return name(node)
-    if kind == "add":
-        return _evaluate(node[1], number, name) + _evaluate(node[2], number, name)
-    if kind == "sub":
-        return _evaluate(node[1], number, name) - _evaluate(node[2], number, name)
+    if kind == "sum":
+        terms = node[1]
+        if monomials is None:
+            total = _evaluate(terms[0][1], number, name)
+            for sign, term in terms[1:]:
+                value = _evaluate(term, number, name)
+                total = total + value if sign > 0 else total - value
+            return total
+        gathered: dict = {}
+        rest = []
+        for sign, term in terms:
+            got = monomials.read(term)
+            if got is None:
+                value = _evaluate(term, number, name, monomials)
+                rest.append(value if sign > 0 else -value)
+            else:
+                c, exps = got
+                gathered[exps] = gathered.get(exps, 0) + (c if sign > 0 else -c)
+        total = monomials.build(gathered)
+        for value in rest:
+            total = total + value
+        return total
     if kind == "mul":
-        return _evaluate(node[1], number, name) * _evaluate(node[2], number, name)
+        factors = node[1]
+        total = _evaluate(factors[0], number, name, monomials)
+        for factor in factors[1:]:
+            total = total * _evaluate(factor, number, name, monomials)
+        return total
     if kind == "neg":
-        return -_evaluate(node[1], number, name)
+        return -_evaluate(node[1], number, name, monomials)
     if kind == "pow":
-        return _evaluate(node[1], number, name) ** node[2]
+        value = _evaluate(node[1], number, name, monomials)
+        for e in node[2]:
+            value = value**e
+        return value
     raise AssertionError(f"unhandled node {kind}")
 
 
-def _eval_commutative(node: Any, env: dict[str, Any], one: Any) -> Any:
-    def name(leaf: Any) -> Any:
+def _eval_commutative(node: Any, names: tuple[str, ...], build) -> Any:
+    """Evaluate over a commutative ring in the variables ``names``;
+    ``build`` makes a ring element from an {exponent tuple: coefficient}
+    dict, exponents in ``names``' order."""
+
+    def unknown(leaf: Any) -> Any:
         text, line, col = leaf[1], leaf[2], leaf[3]
-        if text in env:
-            return env[text]
-        if len(text) > 1 and set(text) <= set(env):
+        if len(text) > 1 and set(text) <= set(names):
             raise ParseError(
                 f"{text!r}: implicit multiplication is not allowed, "
                 f"write {'*'.join(text)!r}",
                 line,
                 col,
             )
-        allowed = ", ".join(sorted(env))
+        allowed = ", ".join(sorted(names))
         raise ParseError(
             f"unknown variable {text!r} (expected one of: {allowed})", line, col
         )
 
-    return _evaluate(node, lambda c: one * c, name)
+    monomials = _Monomials(names, build, unknown)
+    return _evaluate(node, lambda c: build({monomials.one: c}), unknown, monomials)
 
 
 def parse_poly2(text: str) -> Poly2:
     """Parse a commutative expression in x and y."""
-    ast = _parse_ast(text)
-    env = {"x": Poly2.var_x(), "y": Poly2.var_y()}
-    return _eval_commutative(ast, env, Poly2.const(1))
+    # exponent tuples are (deg_y, deg_x), Poly2's own term keys
+    return _eval_commutative(_parse_ast(text), ("y", "x"), Poly2)
 
 
 def parse_unipoly(text: str, var: str = "z") -> UniPoly:
     """Parse a univariate expression in ``var``."""
-    ast = _parse_ast(text)
-    env = {var: UniPoly.var_z()}
-    return _eval_commutative(ast, env, UniPoly.const(1))
+
+    def build(terms: dict) -> UniPoly:
+        return UniPoly.from_terms({e: c for (e,), c in terms.items()})
+
+    return _eval_commutative(_parse_ast(text), (var,), build)
 
 
 def parse_ncpoly(text: str, field=None):

@@ -55,8 +55,8 @@ class Retraction:
     """A certified retract generator: p with p(s(z), t(z)) = z.
 
     The substitution identity is asserted at construction.  It makes
-    (s(p), t(p)) idempotent because substitution is a ring homomorphism;
-    small instances are additionally checked by direct composition.
+    (s(p), t(p)) idempotent because substitution is a ring homomorphism
+    (see :func:`retraction_endo`), so no composition is checked here.
     """
 
     s: UniPoly
@@ -68,10 +68,6 @@ class Retraction:
             raise ValueError("constant generates no proper retract")
         if self.p.substitute1(self.s, self.t) != _Z:
             raise ValueError("pair (s, t) does not certify p")
-        # direct idempotency check only when pi's components stay small;
-        # composing pi with itself squares their degree
-        if self.p.deg() * max(self.s.deg(), self.t.deg(), 1) <= 8:
-            retraction_endo(self, force_direct=True)
 
     def to_obj(self) -> dict:
         return {
@@ -84,23 +80,20 @@ class Retraction:
 def retraction_endo(r: Retraction, force_direct: bool = False) -> Endo:
     """The idempotent endomorphism pi = (s(p), t(p)) fixing p.
 
-    Idempotency is asserted by direct composition when the components are
-    small (always under force_direct); otherwise it follows exactly from
-    the certificate identity p(s, t) = z, which is re-asserted: pi applied
-    to pi's first component is s evaluated at p(s(p), t(p)), and the inner
-    polynomial is (p(s, t)) evaluated at z := p, which is p itself.
+    Idempotency follows exactly from the certificate identity p(s, t) = z,
+    which the Retraction constructor asserted: pi applied to pi's first
+    component is s evaluated at p(s(p), t(p)), and the inner polynomial is
+    (p(s, t)) evaluated at z := p, which is p itself.  Small instances
+    (always under force_direct) are also checked by direct composition.
     """
     pf = r.s.eval_at_poly(r.p)
     pg = r.t.eval_at_poly(r.p)
     pi = Endo(pf, pg)
-    small = max(pf.deg(), pg.deg(), 0) <= 8
-    if small or force_direct:
+    if force_direct or max(pf.deg(), pg.deg(), 0) <= 8:
         if compose(pi, pi) != pi:
             raise InternalCheckError("retraction endomorphism not idempotent")
         if pi.apply(r.p) != r.p:
             raise InternalCheckError("retraction endomorphism moves p")
-    elif r.p.substitute1(r.s, r.t) != _Z:
-        raise InternalCheckError("certificate identity lost")
     return pi
 
 
@@ -155,18 +148,36 @@ class RetractCertificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.sigma is None or self.h is None:
             raise ValueError(f"{self.kind} certificate needs sigma and h")
-        sig = self.sigma.to_endo()
         normal = Poly2.var_x() + Poly2.var_y() * self.h
         # sigma is invertible, so sigma(p) = x + y*h iff p is the inverse
         # image of the normal form; the latter is the cheap direction
         if self.sigma.inverse().to_endo().apply(normal) != self.p:
             raise ValueError("sigma does not carry p to x + y*h")
+        return self._transport(self.sigma.to_endo())
+
+    def _transport(self, sig: Endo) -> Retraction:
+        """The normal form's certificate (z, 0) carried through sigma."""
         zero = UniPoly.zero()
         return Retraction(
             s=sig.f.substitute1(_Z, zero),
             t=sig.g.substitute1(_Z, zero),
             p=self.p,
         )
+
+    @staticmethod
+    def _transported(
+        p: Poly2, sigma: TameAuto, sig: Endo, h: Poly2
+    ) -> "RetractCertificate":
+        """Conjugated certificate for p as make_retract_generator computed
+        it, p = sigma^-1(x + y*h) with sig = sigma.to_endo().  The
+        constructor's conjugacy check would recompute p from itself, so it
+        is skipped; the Retraction still checks the transported pair."""
+        cert = object.__new__(RetractCertificate)
+        fields = dict(p=p, kind="conjugated", h=h, sigma=sigma, s=None, t=None)
+        for name, value in fields.items():
+            object.__setattr__(cert, name, value)
+        object.__setattr__(cert, "_retraction", cert._transport(sig))
+        return cert
 
 
 def make_retract_generator(sigma: TameAuto, h: Poly2) -> RetractCertificate:
@@ -180,13 +191,14 @@ def make_retract_generator(sigma: TameAuto, h: Poly2) -> RetractCertificate:
     if isinstance(h, (int, Fraction)):
         h = Poly2.const(h)
     try:
-        if sigma.to_endo().is_identity():
+        sig = sigma.to_endo()
+        if sig.is_identity():
             return RetractCertificate.normal_form(h)
         q = Poly2.var_x() + Poly2.var_y() * h
         p = sigma.inverse().to_endo().apply(q)
-        # the certificate constructor validates the conjugacy claim and
-        # the substitution identity; any failure here is a transport bug
-        return RetractCertificate.conjugated(p, sigma, h)
+        # the Retraction validates the substitution identity; any failure
+        # here is a transport bug
+        return RetractCertificate._transported(p, sigma, sig, h)
     except ValueError as exc:
         raise InternalCheckError(f"transport failed: {exc}") from exc
 

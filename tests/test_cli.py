@@ -289,6 +289,16 @@ class TestOutputContract:
             second = run_cli(*argv)
             assert first == second
 
+    def test_long_sum_exits_0(self):
+        code, obj = run_json("jacobian", "+".join(["x"] * 1200), "y")
+        assert (code, obj) == (0, {"jacobian": "1200", "unit": True})
+
+    def test_deep_nesting_exits_2(self):
+        code, obj = run_json("jacobian", "(" * 1000 + "x" + ")" * 1000, "y")
+        assert code == 2
+        assert "nested deeper" in obj["error"]
+        assert "line 1, column 101" in obj["error"]
+
     def test_text_mode(self):
         code, out = run_cli("jacobian", "x+y^2", "y", "--text")
         assert code == 0
@@ -308,3 +318,29 @@ class TestOutputContract:
         proc = run_module("jacobian", "x", "y")
         assert proc.returncode == 0
         assert "retractlab" in proc.stderr
+
+
+class TestCachedParser:
+    """main builds its argument parser once per process; nothing of one
+    call's namespace may reach the next."""
+
+    def test_text_then_json(self):
+        code, out = run_cli("jacobian", "x+y^2", "y", "--text")
+        assert (code, out) == (0, "jacobian: 1\nunit: True\n")
+        code, obj = run_json("jacobian", "x+y^2", "y")
+        assert (code, obj) == (0, {"jacobian": "1", "unit": True})
+
+    def test_option_value_does_not_leak(self):
+        code, obj = run_json("reduce", "x+(y+x^2)^2", "y+x^2", "--max-steps", "1")
+        assert (code, obj["kind"]) == (1, "budget")
+        code, obj = run_json("reduce", "x+(y+x^2)^2", "y+x^2")
+        assert (code, obj["kind"]) == (0, "automorphism")
+
+    def test_malformed_then_valid(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reduce", "x", "y", "--max-steps", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code, obj = run_json("is-auto", "x+y^2", "y")
+        assert (code, obj["verdict"]) == (0, "yes")
+        assert obj["moves"] == [{"elemX": "y^2"}]

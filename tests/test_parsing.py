@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from retractlab import free_algebra as fa
 from retractlab.parsing import (
     EXPONENT_CAP,
+    NESTING_CAP,
     ParseError,
     parse_ncpoly,
     parse_poly2,
@@ -38,6 +39,87 @@ def unipolys():
     return st.dictionaries(
         st.integers(min_value=0, max_value=6), coeff, max_size=5
     ).map(UniPoly.from_terms)
+
+
+def expression_trees(variables):
+    """Random trees: sums, differences, products, powers up to 3, unary
+    minus and rational literals, as nested tuples."""
+    leaves = st.one_of(
+        st.sampled_from(variables).map(lambda v: ("var", v)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
+            lambda c: ("num", c)
+        ),
+    )
+
+    def branches(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
+            st.tuples(st.just("^"), kids, st.integers(min_value=0, max_value=3)),
+            st.tuples(st.just("neg"), kids),
+        )
+
+    return st.recursive(leaves, branches, max_leaves=10).filter(
+        lambda tree: tree_degree(tree) <= 24
+    )
+
+
+def tree_degree(tree):
+    kind = tree[0]
+    if kind in ("var", "num"):
+        return int(kind == "var")
+    if kind == "^":
+        return tree_degree(tree[1]) * tree[2]
+    if kind == "neg":
+        return tree_degree(tree[1])
+    left, right = tree_degree(tree[1]), tree_degree(tree[2])
+    return left + right if kind == "*" else max(left, right)
+
+
+# binding strength of each rendered form; an operand weaker than its slot
+# needs parentheses (pow bases must be atoms or powers, so (-x)^2 keeps its)
+_SUM, _PRODUCT, _NEG, _POW, _ATOM = range(5)
+
+
+def render(tree):
+    """(text, binding strength) with only the parentheses the grammar needs."""
+    kind = tree[0]
+    if kind == "var":
+        return tree[1], _ATOM
+    if kind == "num":
+        c = tree[1]
+        lit = str(abs(c))
+        return ("-" + lit, _NEG) if c < 0 else (lit, _ATOM)
+
+    def slot(sub, strength):
+        text, got = render(sub)
+        return text if got >= strength else f"({text})"
+
+    if kind == "neg":
+        return "-" + slot(tree[1], _NEG), _NEG
+    if kind == "^":
+        return f"{slot(tree[1], _POW)}^{tree[2]}", _POW
+    if kind == "*":
+        return f"{slot(tree[1], _PRODUCT)}*{slot(tree[2], _NEG)}", _PRODUCT
+    return f"{slot(tree[1], _SUM)} {kind} {slot(tree[2], _PRODUCT)}", _SUM
+
+
+def build(tree, ring):
+    """The tree evaluated by the ring's own arithmetic."""
+    kind = tree[0]
+    if kind == "var":
+        return ring[tree[1]]
+    if kind == "num":
+        return ring["1"] * tree[1]
+    if kind == "neg":
+        return -build(tree[1], ring)
+    if kind == "^":
+        return build(tree[1], ring) ** tree[2]
+    left, right = build(tree[1], ring), build(tree[2], ring)
+    return {"+": left + right, "-": left - right, "*": left * right}[kind]
+
+
+POLY2_RING = {"x": X, "y": Y, "1": Poly2.const(1)}
+UNIPOLY_RING = {"z": UniPoly.var_z(), "1": UniPoly.const(1)}
 
 
 class TestDocumentedForms:
@@ -144,6 +226,20 @@ class TestErrors:
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly2("1/0")
 
+    def test_first_of_two_unknown_names_is_reported(self):
+        for text, column in (("x + q*w", 5), ("(x + q)^2 - w", 6), ("w*(q+x)", 1)):
+            with pytest.raises(ParseError, match="unknown variable") as exc:
+                parse_poly2(text)
+            assert (exc.value.line, exc.value.column) == (1, column), text
+
+    def test_nesting_cap(self):
+        deepest = "(" * NESTING_CAP + "x" + ")" * NESTING_CAP
+        assert parse_poly2(deepest) == X
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse_poly2("(" * 1000 + "x" + ")" * 1000)
+        # the offending '(' is the first one past the cap
+        assert (exc.value.line, exc.value.column) == (1, NESTING_CAP + 1)
+
 
 class TestRoundTrips:
     @given(poly2s())
@@ -155,6 +251,27 @@ class TestRoundTrips:
     @settings(max_examples=80, deadline=None)
     def test_unipoly(self, u):
         assert parse_unipoly(u.to_text()) == u
+
+    @given(expression_trees(["x", "y"]))
+    @settings(max_examples=150, deadline=None)
+    def test_poly2_matches_ring_arithmetic(self, tree):
+        text, _ = render(tree)
+        assert parse_poly2(text) == build(tree, POLY2_RING), text
+
+    @given(expression_trees(["z"]))
+    @settings(max_examples=100, deadline=None)
+    def test_unipoly_matches_ring_arithmetic(self, tree):
+        text, _ = render(tree)
+        assert parse_unipoly(text) == build(tree, UNIPOLY_RING), text
+
+    def test_long_sum(self):
+        # a left-deep tree of this sum used to exhaust the recursion limit
+        assert parse_poly2("+".join(["x"] * 1200)) == 1200 * X
+
+    def test_round_trip_past_two_thousand_terms(self):
+        p = (X + Y + 1) ** 62
+        assert len(p.terms) == 2016
+        assert parse_poly2(p.to_text()) == p
 
     def test_seeded_sweep_both_modes(self):
         rng = random.Random(2024)
