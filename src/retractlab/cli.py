@@ -35,7 +35,7 @@ from .retracts import (
     generates_kz,
     is_retract_generator_bounded,
     make_retract_generator,
-    verify_retract_generator,
+    retract_image,
 )
 from .theorem_lab import (
     coordinate_image_experiment,
@@ -159,8 +159,8 @@ def _cmd_verify_retract(args):
     p = parse_poly2(args.p)
     s = parse_unipoly(args.s)
     t = parse_unipoly(args.t)
-    image = p.substitute1(s, t)
-    ok = verify_retract_generator(p, s, t)
+    image = retract_image(p, s, t)
+    ok = image == UniPoly.var_z()
     verdict = "yes" if ok else "no"
     return {"verdict": verdict, "image": image.to_text()}, 0 if ok else 1
 

@@ -144,6 +144,15 @@ class Affine:
 Move = Union[ElemX, ElemY, Affine]
 
 
+def lower(pair: tuple, low: int, k: int, c: Fraction) -> tuple:
+    """The step both reduction engines share: pair with c * pair[1 - low]**k
+    subtracted from pair[low], and the right move (ElemX, ElemY)[low] of
+    -c*z^k that does it, so the other component is untouched."""
+    comps = list(pair)
+    comps[low] = pair[low] - c * pair[1 - low] ** k
+    return tuple(comps), (ElemX, ElemY)[low](UniPoly.from_terms({k: -c}))
+
+
 def _fraction_to_json(c: Fraction):
     return c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -271,7 +280,7 @@ def is_automorphism(e: Endo) -> AutoDecision:
             False, None, "jacobian is not a nonzero constant", ()
         )
     cur = e
-    undo: list[Move] = []  # inverses of applied right moves, in order
+    applied: list[Move] = []  # right moves, in the order applied
     trace: list[int] = []
     while True:
         if cur.f.is_zero() or cur.g.is_zero():
@@ -309,11 +318,11 @@ def is_automorphism(e: Endo) -> AutoDecision:
                 tuple(trace),
             )
         log.debug("reduce: deg %s -> subtract %s * small^%s", d_big, c, k)
-        comps[low] = big - c * small**k
+        comps, move = lower(comps, low, k, c)
         if not (comps[low].deg() < d_big):
             raise InternalCheckError("leading forms failed to cancel")
         cur = Endo(*comps)
-        undo.append((ElemX, ElemY)[low](UniPoly.from_terms({k: c})))
+        applied.append(move)
     # cur is affine: read off the final move
     m = (
         (cur.f.coefficient(0, 1), cur.f.coefficient(1, 0)),
@@ -328,7 +337,7 @@ def is_automorphism(e: Endo) -> AutoDecision:
     moves: list[Move] = []
     if not cur.is_identity():
         moves.append(Affine(m, b))
-    moves.extend(reversed(undo))
+    moves.extend(move.inverse() for move in reversed(applied))
     fact = TameAuto(tuple(moves))
     if fact.to_endo() != e:
         raise InternalCheckError("factorization failed to recompose")

@@ -6,6 +6,11 @@ the free algebra to verify that the endomorphism (x, y + xy - yx)
 deforms a retract generator by an element of the abelianization kernel
 while the deformed generator still spans a retract.  Word counts grow
 exponentially, so every product is guarded by a hard total-degree cap.
+
+Coefficients are Fractions over Q and ints over F_p, combined with plain
+``+``, ``*`` and ``-``.  A field's ``coerce`` is its whole interface: the
+NcPoly constructor applies it to every coefficient, so each arithmetic
+result is reduced mod p, and zeros dropped, in that one place.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .poly_core import MINUS_INF, Poly2, UniPoly
+from .poly_core import MINUS_INF, Poly2, UniPoly, horner
 
 #: Hard bound on word length; products beyond it raise instead of growing.
 DEGREE_CAP = 12
@@ -34,21 +39,6 @@ class _RationalField:
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def text(self, a: Fraction) -> str:
-        return str(a)
 
     def __repr__(self) -> str:
         return "RATIONALS"
@@ -96,26 +86,6 @@ class PrimeField:
             return value.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def text(self, a: int) -> str:
-        return str(a)
-
 
 Field = Union[_RationalField, PrimeField]
 
@@ -144,11 +114,7 @@ class NcPoly:
             for word, c in terms.items():
                 _check_word(word)
                 val = field.coerce(c)
-                if word in canon:
-                    val = field.add(canon[word], val)
-                if val == field.zero:
-                    canon.pop(word, None)
-                else:
+                if val:
                     canon[word] = val
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_terms", canon)
@@ -185,7 +151,7 @@ class NcPoly:
         return dict(self._terms)
 
     def coefficient(self, word: str):
-        return self._terms.get(word, self.field.zero)
+        return self._terms.get(word, self.field.coerce(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -196,7 +162,7 @@ class NcPoly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms.get("", self.field.zero)
+        return self._terms.get("", self.field.coerce(0))
 
     def deg(self) -> int | float:
         if not self._terms:
@@ -234,20 +200,14 @@ class NcPoly:
             return NotImplemented
         self._require_same_field(other)
         out = dict(self._terms)
-        f = self.field
         for w, c in other._terms.items():
-            val = f.add(out.get(w, f.zero), c)
-            if val == f.zero:
-                out.pop(w, None)
-            else:
-                out[w] = val
-        return NcPoly(f, out)
+            out[w] = out.get(w, 0) + c
+        return NcPoly(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NcPoly":
-        f = self.field
-        return NcPoly(f, {w: f.neg(c) for w, c in self._terms.items()})
+        return NcPoly(self.field, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other) -> "NcPoly":
         other = self._coerce_operand(other)
@@ -267,15 +227,13 @@ class NcPoly:
 
     def __mul__(self, other) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
-            f = self.field
-            scalar = f.coerce(other)
+            scalar = self.field.coerce(other)
             return NcPoly(
-                f, {w: f.mul(c, scalar) for w, c in self._terms.items()}
+                self.field, {w: c * scalar for w, c in self._terms.items()}
             )
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same_field(other)
-        f = self.field
         out: dict[str, object] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -285,12 +243,8 @@ class NcPoly:
                         f"product word length {len(word)} exceeds the "
                         f"degree cap {DEGREE_CAP}"
                     )
-                val = f.add(out.get(word, f.zero), f.mul(c1, c2))
-                if val == f.zero:
-                    out.pop(word, None)
-                else:
-                    out[word] = val
-        return NcPoly(f, out)
+                out[word] = out.get(word, 0) + c1 * c2
+        return NcPoly(self.field, out)
 
     def __rmul__(self, other) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
@@ -310,11 +264,9 @@ class NcPoly:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
-        f = self.field
         parts = []
         for word in sorted(self._terms, key=lambda w: (-len(w), w)):
-            c = self._terms[word]
-            txt = f.text(c)
+            txt = str(self._terms[word])
             negative = txt.startswith("-")
             mag = txt[1:] if negative else txt
             if word == "":
@@ -415,11 +367,7 @@ def _commutative_collapse(p: NcPoly) -> NcPoly:
 def evaluate_unipoly(u: UniPoly, at: NcPoly) -> NcPoly:
     """Horner evaluation of a univariate polynomial at a free-algebra
     element; coefficients are coerced into the element's field."""
-    field = at.field
-    result = NcPoly(field)
-    for k in range(u.deg() if not u.is_zero() else -1, -1, -1):
-        result = result * at + NcPoly.const(u.coefficient(k), field)
-    return result
+    return horner(u.coeffs, at, NcPoly(at.field))
 
 
 def deformation_endo(field: Field = RATIONALS) -> NcEndo:

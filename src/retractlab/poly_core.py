@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 #: Degree of the zero polynomial.  Compares below every int; never -1.
 MINUS_INF = float("-inf")
@@ -371,7 +371,9 @@ def _substitute(p: Poly2, a, b, const):
 
 def _horner(pairs: list, arg):
     """Sparse Horner evaluation of sum(c * arg**e) over nonempty (e, c)
-    pairs, with c in the ring of arg."""
+    pairs, with c in the ring of arg.  ``_substitute`` needs it beside the
+    dense :func:`horner`: its exponents have gaps, and its coefficients
+    are ring elements (inner Horner values), not scalars."""
     pairs = sorted(pairs, key=lambda ec: ec[0], reverse=True)
     acc = pairs[0][1]
     prev = pairs[0][0]
@@ -380,6 +382,14 @@ def _horner(pairs: list, arg):
         prev = e
     if prev:
         acc = acc * (arg**prev)
+    return acc
+
+
+def horner(coeffs: Sequence, arg, acc):
+    """Dense Horner evaluation of sum(coeffs[k] * arg**k), constant term
+    first; ``acc`` is the zero of arg's ring (0 for integers)."""
+    for c in reversed(coeffs):
+        acc = acc * arg + c
     return acc
 
 
@@ -540,17 +550,11 @@ class UniPoly:
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(z)), by Horner."""
-        acc = UniPoly()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + UniPoly.const(c)
-        return acc
+        return horner(self._coeffs, inner, UniPoly())
 
     def eval_at_poly(self, p: Poly2) -> Poly2:
         """self(p) inside K[x, y]."""
-        acc = Poly2()
-        for c in reversed(self._coeffs):
-            acc = acc * p + Poly2.const(c)
-        return acc
+        return horner(self._coeffs, p, Poly2())
 
     def to_text(self, var: str = "z") -> str:
         if not self._coeffs:

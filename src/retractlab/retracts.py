@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 from .endo_algebra import Endo, TameAuto, compose
 from .errors import InternalCheckError
-from .poly_core import Monomial, Poly2, UniPoly, _int_core, try_sqrt
+from .poly_core import Monomial, Poly2, UniPoly, _int_core, horner, try_sqrt
 
 log = logging.getLogger(__name__)
 
@@ -43,11 +43,16 @@ CANONICAL_COEFFS: tuple[int, ...] = (0, 1, -1, 2, -2)
 _Z = UniPoly.var_z()
 
 
-def verify_retract_generator(p: Poly2, s: UniPoly, t: UniPoly) -> bool:
-    """Does (s, t) certify p, i.e. p(s(z), t(z)) = z exactly?"""
+def retract_image(p: Poly2, s: UniPoly, t: UniPoly) -> UniPoly:
+    """p(s(z), t(z)) for a nonconstant p; a constant p raises."""
     if p.is_constant():
         raise ValueError("constant generates no proper retract")
-    return p.substitute1(s, t) == _Z
+    return p.substitute1(s, t)
+
+
+def verify_retract_generator(p: Poly2, s: UniPoly, t: UniPoly) -> bool:
+    """Does (s, t) certify p, i.e. p(s(z), t(z)) = z exactly?"""
+    return retract_image(p, s, t) == _Z
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,7 @@ class Retraction:
     p: Poly2
 
     def __post_init__(self):
-        if self.p.is_constant():
-            raise ValueError("constant generates no proper retract")
-        if self.p.substitute1(self.s, self.t) != _Z:
+        if not verify_retract_generator(self.p, self.s, self.t):
             raise ValueError("pair (s, t) does not certify p")
 
     def to_obj(self) -> dict:
@@ -77,19 +80,19 @@ class Retraction:
         }
 
 
-def retraction_endo(r: Retraction, force_direct: bool = False) -> Endo:
+def retraction_endo(r: Retraction) -> Endo:
     """The idempotent endomorphism pi = (s(p), t(p)) fixing p.
 
     Idempotency follows exactly from the certificate identity p(s, t) = z,
     which the Retraction constructor asserted: pi applied to pi's first
     component is s evaluated at p(s(p), t(p)), and the inner polynomial is
-    (p(s, t)) evaluated at z := p, which is p itself.  Small instances
-    (always under force_direct) are also checked by direct composition.
+    (p(s, t)) evaluated at z := p, which is p itself.  Components of
+    degree at most 8 are also checked by direct composition.
     """
     pf = r.s.eval_at_poly(r.p)
     pg = r.t.eval_at_poly(r.p)
     pi = Endo(pf, pg)
-    if force_direct or max(pf.deg(), pg.deg(), 0) <= 8:
+    if max(pf.deg(), pg.deg(), 0) <= 8:
         if compose(pi, pi) != pi:
             raise InternalCheckError("retraction endomorphism not idempotent")
         if pi.apply(r.p) != r.p:
@@ -239,10 +242,6 @@ def _coeff_vectors(deg: int, scalars: Sequence[Fraction]) -> Iterator[UniPoly]:
     return map(UniPoly, _coeff_tuples(deg, scalars))
 
 
-def _first_vector(deg: int, scalars: Sequence[Fraction]) -> UniPoly:
-    return next(_coeff_vectors(deg, scalars))
-
-
 def _cell_matches(u: UniPoly, d: int) -> bool:
     return u.deg() == d if d else u.is_constant()
 
@@ -333,15 +332,12 @@ def _solve_linear_cell(
     a_poly, b_poly = _linear_split(p, in_y)
     free_deg, solved_deg = (ds, dt) if in_y else (dt, ds)
     for free in _coeff_vectors(free_deg, scalars):
-        a_val = a_poly.compose(free)
         b_val = b_poly.compose(free)
         if b_val.is_zero():
-            # B(free) = 0 leaves the other side unconstrained
-            if a_val == _Z:
-                solved = _first_vector(solved_deg, scalars)
-                return (free, solved) if in_y else (solved, free)
+            # p is linear in v, so B is nonzero and B(free) = 0 forces a
+            # constant free side; then A(free) is constant, never z
             continue
-        quo, rem = divmod(_Z - a_val, b_val)
+        quo, rem = divmod(_Z - a_poly.compose(free), b_val)
         if rem.is_zero() and _cell_matches(quo, solved_deg):
             return (free, quo) if in_y else (quo, free)
     return None
@@ -447,7 +443,7 @@ class _IntImage:
         """Coefficients, constant first, of the polynomial R in T with
         R(T) = sum_m P_m * L^(deg(p) - i - j) * S(a)^j * T^i - den*L^deg(p)*a,
         so that R(T(a)) is the scaled p(s, t) - z at z = a."""
-        sa = _horner_int(s, a)
+        sa = horner(s, a, 0)
         row = [0] * (max(m.i for m in self.terms) + 1)
         for m, n in self.terms.items():
             row[m.i] += n * sa**m.j
@@ -456,15 +452,6 @@ class _IntImage:
 
     def side(self, coeffs: tuple[int, ...]) -> UniPoly:
         return UniPoly(Fraction(k, self.scale) for k in coeffs)
-
-
-def _horner_int(coeffs: Sequence[int], a: int) -> int:
-    """Value at a of the integer polynomial with coefficients coeffs,
-    constant term first."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
 
 
 def _search_cell(
@@ -498,7 +485,7 @@ def _search_cell(
             continue
         s_rows: list[list[int]] = []
         for body in itertools.product(image.ints, repeat=dt):
-            body_at_first = _horner_int(body, first)
+            body_at_first = horner(body, first, 0)
             for lt in leads:
                 tried += 1
                 t = body + (lt,)
@@ -525,7 +512,7 @@ def _evaluates_to_z(
     for k, a in enumerate(image.points):
         if k == len(s_rows):
             s_rows.append(image.row(s, a))
-        if _horner_int(s_rows[k], _horner_int(t, a) if k else t_at_first):
+        if horner(s_rows[k], horner(t, a, 0) if k else t_at_first, 0):
             return False
     return True
 

@@ -24,6 +24,7 @@ from .endo_algebra import (
     Endo,
     TameAuto,
     compose,
+    lower,
     move_to_obj,
     random_tame,
 )
@@ -480,14 +481,9 @@ def reduction_step(psi: Endo) -> StepResult:
     low, keep = (1, 0) if dep.swapped else (0, 1)
     pair = (f, g)
     c = pair[low].leading_coefficient() / pair[keep].leading_coefficient() ** dep.k
-    move = (ElemX, ElemY)[low](UniPoly.from_terms({dep.k: -c}))
-    new = compose(psi, move.to_endo())
-    new_pair = (new.f, new.g)
-    if new_pair[keep] != pair[keep]:
-        which = ("first", "second")[keep]
-        raise InternalCheckError(f"rewrite touched the {which} component")
+    new_pair, move = lower(pair, low, dep.k, c)
     _assert_strict_drop(pair[low], new_pair[low])
-    return Reduced(move, new)
+    return Reduced(move, Endo(*new_pair))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,21 @@ class TestArithmetic:
         assert p.coefficient("xy") == 2
         assert (p * 5).is_zero()
 
+    @given(nc_polys, nc_polys, coeffs, st.sampled_from([2, 5, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_reduction_mod_p_is_a_homomorphism(self, a, b, k, p):
+        fp = fa.PrimeField(p)
+
+        def mod_p(u):
+            return fa.NcPoly(fp, {w: fp.coerce(c) for w, c in u.items()})
+
+        ap, bp = mod_p(a), mod_p(b)
+        assert ap + bp == mod_p(a + b)
+        assert ap * bp == mod_p(a * b)
+        assert -ap == mod_p(-a)
+        assert ap * k == mod_p(a * k)
+        assert k * ap == mod_p(k * a)
+
 
 class TestAbelianization:
     def test_commutator_vanishes(self):

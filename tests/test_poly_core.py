@@ -16,6 +16,7 @@ from retractlab.poly_core import (
     Monomial,
     Poly2,
     UniPoly,
+    horner,
     monomial_degree_under,
     substitute1,
     substitute2,
@@ -231,6 +232,15 @@ def test_substitution_composition_law(p, s, t, q):
     lhs = substitute1(p, s, t).compose(q)
     rhs = substitute1(p, s.compose(q), t.compose(q))
     assert lhs == rhs
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(-5, 5), unipolys)
+@example([], 3, Z)
+def test_horner_matches_power_sum(coeffs, a, u):
+    assert horner(coeffs, a, 0) == sum(c * a**k for k, c in enumerate(coeffs))
+    want = sum((c * u**k for k, c in enumerate(coeffs)), UniPoly())
+    assert horner(coeffs, u, UniPoly()) == want
 
 
 @settings(max_examples=40)

@@ -304,8 +304,8 @@ def _grid_polys(deg, scalars):
     ]
 
 
-def _reference_pairs(p, ds, dt, scalars):
-    if (ds, dt) in ((1, 0), (0, 1)):
+def _reference_pairs(p, ds, dt, scalars, solve_constant_cells=True):
+    if solve_constant_cells and (ds, dt) in ((1, 0), (0, 1)):
         # one constant side c from the grid; the linear side is solved
         # exactly from p(z, c) or p(c, z), so it is not grid limited
         for c in scalars:
@@ -320,13 +320,19 @@ def _reference_pairs(p, ds, dt, scalars):
             yield s, t
 
 
-def _reference_search(p, max_deg, coeff_set=CANONICAL_COEFFS):
+def _reference_search(
+    p, max_deg, coeff_set=CANONICAL_COEFFS, solve_constant_cells=True
+):
     """Brute force in the documented order, each pair decided by
-    verify_retract_generator."""
+    verify_retract_generator.  Without solve_constant_cells, both sides
+    of every cell come from the grid."""
     scalars = [Fraction(c) for c in coeff_set]
     for total in range(2 * max_deg + 1):
         for ds in range(max(0, total - max_deg), min(total, max_deg) + 1):
-            for s, t in _reference_pairs(p, ds, total - ds, scalars):
+            pairs = _reference_pairs(
+                p, ds, total - ds, scalars, solve_constant_cells
+            )
+            for s, t in pairs:
                 if verify_retract_generator(p, s, t):
                     return True, s, t, "certificate found"
     grid = "{" + ", ".join(str(c) for c in scalars) + "}"
@@ -422,6 +428,57 @@ def test_search_balanced_composite_max_deg_3():
             "no certificate with both degrees <= 3 and enumerated "
             "coefficients from {0, 1, -1, 2, -2}"
         )
+
+
+def _random_linear_p(rng, in_y, vanish_on=()):
+    """p = A(w) + v*B(w) with B nonzero, linear in v = y (in_y) or v = x,
+    and taking the search's linear path for v.  With vanish_on, B is a
+    constant times the product of (w - c) over it, so that B(c) = 0 for
+    every constant side c there."""
+    w, v = (X, Y) if in_y else (Y, X)
+    b_len = 1 if vanish_on else 3
+    root_prod = UniPoly.const(1)
+    for c in vanish_on:
+        root_prod = root_prod * (Z - c)
+    while True:
+        a = upoly(*(rng.randint(-2, 2) for _ in range(rng.randint(1, 4))))
+        b = upoly(*(rng.randint(-2, 2) for _ in range(rng.randint(1, b_len))))
+        p = a.eval_at_poly(w) + v * (b * root_prod).eval_at_poly(w)
+        if b and (p.deg_y() == 1) == in_y and (in_y or p.deg_x() == 1):
+            return p
+
+
+def _cell(s, t):
+    """Position of a pair in the documented cell order."""
+    ds, dt = max(s.deg(), 0), max(t.deg(), 0)
+    return ds + dt, ds
+
+
+def test_search_linear_p_against_brute_force():
+    # The linear path enumerates one side and solves for the other, so in
+    # any cell where the all-grid reference finds a certificate, the
+    # search finds one too: a reference Yes is a search Yes, in the same
+    # cell or an earlier one.  The reference's solved constant-side cells
+    # are left out, since there the solved side is the one the linear
+    # path enumerates.  Solved sides are not grid limited, so the search
+    # may find more, and every search Yes must verify within the degree
+    # bound.  In inputs 4 to 7 of every eight, B vanishes at each constant
+    # of the grid, so B(free) = 0 occurs in the search.
+    rng = random.Random(22)
+    small = (0, 1, -1)
+    for n in range(20):
+        in_y, max_deg = n % 2 == 0, 2 if n % 4 == 3 else 1
+        vanish = n % 8 >= 4
+        p = _random_linear_p(rng, in_y, small if vanish else ())
+        coeff_set = small if vanish or max_deg == 2 else CANONICAL_COEFFS
+        got = is_retract_generator_bounded(p, max_deg, coeff_set)
+        if got.found:
+            assert verify_retract_generator(p, got.s, got.t), p.to_text()
+            assert max(got.s.deg(), got.t.deg(), 0) <= max_deg
+        found, s, t, _ = _reference_search(p, max_deg, coeff_set, False)
+        if found:
+            assert got.found, p.to_text()
+            assert _cell(got.s, got.t) <= _cell(s, t), p.to_text()
 
 
 def _grid_cell_logs(caplog, p, max_deg):
